@@ -6,15 +6,20 @@
  * table's raw lookup(). Section 7 notes that adaptive routing "can
  * require more complex control logic for route selection" — in a
  * software router that cost is this call, so the three paths bound
- * what the DirectionSet refactor and table compilation buy. The
- * analytical machinery (CDG construction, path counting) is timed
- * too, live vs precompiled.
+ * what the DirectionSet refactor and table compilation buy. Each
+ * row also times building the compiled table itself (one routeSet()
+ * per (node, arrival state, destination) triple), including the two
+ * large tables engine set-up pays for: escape-VC west-first on a
+ * 20x20 2-VC mesh and west-first on a 64x64 mesh. The analytical
+ * machinery (CDG construction, path counting) is timed too, live vs
+ * precompiled.
  *
  * Self-timed (steady_clock over batched iterations; no external
  * benchmark dependency). `--json[=PATH]` emits machine-readable
  * results for EXPERIMENTS.md.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
@@ -31,6 +36,7 @@
 #include "core/routing/factory.hpp"
 #include "topology/hypercube.hpp"
 #include "topology/mesh.hpp"
+#include "topology/virtual_channels.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 
@@ -91,18 +97,36 @@ struct PathTimes
     double legacy_ns;     ///< route(): vector adapter.
     double route_set_ns;  ///< routeSet(): virtual, allocation free.
     double compiled_ns;   ///< CompiledRoutingTable::lookup().
+    double compile_ms;    ///< Median CompiledRoutingTable build.
 };
+
+/** Table builds per row; compile_ms is their median. */
+constexpr int kCompileTrials = 5;
 
 PathTimes
 benchDecisionPaths(const Topology &topo, const std::string &name)
 {
+    using Clock = std::chrono::steady_clock;
     const RoutingPtr routing = makeRouting(name, topo);
-    const CompiledRoutingTable table(*routing);
+    std::vector<double> build_ms;
+    std::unique_ptr<CompiledRoutingTable> built;
+    for (int trial = 0; trial < kCompileTrials; ++trial) {
+        built.reset();
+        const auto t0 = Clock::now();
+        built = std::make_unique<CompiledRoutingTable>(*routing);
+        build_ms.push_back(
+            std::chrono::duration<double, std::milli>(Clock::now() - t0)
+                .count());
+    }
+    std::nth_element(build_ms.begin(), build_ms.begin() + kCompileTrials / 2,
+                     build_ms.end());
+    const CompiledRoutingTable &table = *built;
     const auto pairs = samplePairs(topo, 1024);
 
     PathTimes t;
     t.topology = topo.name();
     t.algorithm = name;
+    t.compile_ms = build_ms[kCompileTrials / 2];
     t.legacy_ns = nsPerOp(pairs.size(), [&] {
         std::uint64_t acc = 0;
         for (const auto &[src, dst] : pairs)
@@ -165,19 +189,20 @@ void
 printText(const std::vector<PathTimes> &rows, const AnalysisTimes &a)
 {
     std::cout << "== routing-decision microbenchmark ==\n";
-    std::cout << std::left << std::setw(16) << "topology"
+    std::cout << std::left << std::setw(24) << "topology"
               << std::setw(24) << "algorithm" << std::right
               << std::setw(12) << "route() ns" << std::setw(14)
               << "routeSet() ns" << std::setw(13) << "lookup() ns"
-              << std::setw(10) << "speedup\n";
+              << std::setw(10) << "speedup" << std::setw(12)
+              << "compile ms\n";
     for (const PathTimes &t : rows) {
-        std::cout << std::left << std::setw(16) << t.topology
+        std::cout << std::left << std::setw(24) << t.topology
                   << std::setw(24) << t.algorithm << std::right
                   << std::fixed << std::setprecision(2)
                   << std::setw(12) << t.legacy_ns << std::setw(14)
                   << t.route_set_ns << std::setw(13) << t.compiled_ns
                   << std::setw(9) << t.legacy_ns / t.compiled_ns
-                  << "x\n";
+                  << "x" << std::setw(11) << t.compile_ms << "\n";
     }
     std::cout << "== analysis machinery (8x8 mesh west-first) ==\n"
               << std::setprecision(0)
@@ -208,6 +233,8 @@ writeJson(std::ostream &os, const std::vector<PathTimes> &rows,
         writeJsonNumber(os, t.legacy_ns / t.compiled_ns);
         os << ", \"speedup_route_set_vs_route\": ";
         writeJsonNumber(os, t.legacy_ns / t.route_set_ns);
+        os << ", \"compile_ms\": ";
+        writeJsonNumber(os, t.compile_ms);
         os << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
     }
     os << "  ],\n  \"analysis\": {\"cdg_live_ns\": ";
@@ -251,6 +278,12 @@ main(int argc, char **argv)
     }
     for (const char *name : {"e-cube", "p-cube"})
         rows.push_back(benchDecisionPaths(cube, name));
+    // The two large tables engine set-up builds: the input-dependent
+    // escape-VC table grows with the square of the node count.
+    const VirtualizedMesh vc_mesh = VirtualizedMesh::uniform({20, 20}, 2);
+    rows.push_back(benchDecisionPaths(vc_mesh, "vc:west-first"));
+    const NDMesh big_mesh = NDMesh::mesh2D(64, 64);
+    rows.push_back(benchDecisionPaths(big_mesh, "west-first"));
     const AnalysisTimes analysis = benchAnalysis();
 
     printText(rows, analysis);

@@ -16,10 +16,12 @@ DirectionSet
 minimalDirectionSet(const Topology &topo, NodeId current, NodeId dest)
 {
     DirectionSet dirs;
+    const int here = topo.distance(current, dest);
     const int num_dirs = topo.numDirs();
     for (DirId id = 0; id < num_dirs; ++id) {
         const Direction d = Direction::fromId(id);
-        if (isProfitable(topo, current, d, dest))
+        const auto next = topo.neighbor(current, d);
+        if (next && topo.distance(*next, dest) < here)
             dirs.insert(d);
     }
     return dirs;

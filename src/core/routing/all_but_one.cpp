@@ -16,27 +16,24 @@ AllButOneNegativeFirstRouting::routeSet(NodeId current,
                                         std::optional<Direction>,
                                         NodeId dest) const
 {
-    const Coords cur = topo_.coords(current);
-    const Coords dst = topo_.coords(dest);
-    const std::size_t last = cur.size() - 1;
     // Phase one: negative hops in dimensions 0..n-2, adaptively.
-    DirectionSet dirs;
-    for (std::size_t d = 0; d < last; ++d) {
-        if (dst[d] < cur[d])
-            dirs.insert(Direction(static_cast<std::uint8_t>(d), false));
-    }
-    if (!dirs.empty())
-        return dirs;
     // Phase two: every other profitable direction (all positives plus
     // the negative direction of dimension n-1), adaptively.
-    for (std::size_t d = 0; d < cur.size(); ++d) {
-        if (dst[d] > cur[d])
-            dirs.insert(Direction(static_cast<std::uint8_t>(d), true));
+    DirectionSet first;
+    DirectionSet second;
+    const int last = static_cast<int>(topo_.shape().size()) - 1;
+    for (int d = 0; d <= last; ++d) {
+        const int delta = topo_.coordAt(dest, d) - topo_.coordAt(current, d);
+        const auto dim = static_cast<std::uint8_t>(d);
+        if (delta < 0)
+            (d < last ? first : second).insert(Direction(dim, false));
+        else if (delta > 0)
+            second.insert(Direction(dim, true));
     }
-    if (dst[last] < cur[last])
-        dirs.insert(Direction(static_cast<std::uint8_t>(last), false));
-    TM_ASSERT(!dirs.empty(), "routeSet() called with current == dest");
-    return dirs;
+    if (!first.empty())
+        return first;
+    TM_ASSERT(!second.empty(), "routeSet() called with current == dest");
+    return second;
 }
 
 AllButOnePositiveLastRouting::AllButOnePositiveLastRouting(
@@ -51,26 +48,24 @@ AllButOnePositiveLastRouting::routeSet(NodeId current,
                                        std::optional<Direction>,
                                        NodeId dest) const
 {
-    const Coords cur = topo_.coords(current);
-    const Coords dst = topo_.coords(dest);
     // Phase one: all negative directions plus the positive direction
-    // of dimension 0, adaptively.
-    DirectionSet dirs;
-    for (std::size_t d = 0; d < cur.size(); ++d) {
-        if (dst[d] < cur[d])
-            dirs.insert(Direction(static_cast<std::uint8_t>(d), false));
+    // of dimension 0, adaptively. Phase two: the remaining positive
+    // directions, adaptively.
+    DirectionSet first;
+    DirectionSet second;
+    const int n = static_cast<int>(topo_.shape().size());
+    for (int d = 0; d < n; ++d) {
+        const int delta = topo_.coordAt(dest, d) - topo_.coordAt(current, d);
+        const auto dim = static_cast<std::uint8_t>(d);
+        if (delta < 0)
+            first.insert(Direction(dim, false));
+        else if (delta > 0)
+            (d == 0 ? first : second).insert(Direction(dim, true));
     }
-    if (dst[0] > cur[0])
-        dirs.insert(Direction(static_cast<std::uint8_t>(0), true));
-    if (!dirs.empty())
-        return dirs;
-    // Phase two: the remaining positive directions, adaptively.
-    for (std::size_t d = 1; d < cur.size(); ++d) {
-        if (dst[d] > cur[d])
-            dirs.insert(Direction(static_cast<std::uint8_t>(d), true));
-    }
-    TM_ASSERT(!dirs.empty(), "routeSet() called with current == dest");
-    return dirs;
+    if (!first.empty())
+        return first;
+    TM_ASSERT(!second.empty(), "routeSet() called with current == dest");
+    return second;
 }
 
 } // namespace turnmodel

@@ -13,12 +13,12 @@ DirectionSet
 DimensionOrderRouting::routeSet(NodeId current, std::optional<Direction>,
                                 NodeId dest) const
 {
-    const Coords cur = topo_.coords(current);
-    const Coords dst = topo_.coords(dest);
-    for (std::size_t d = 0; d < cur.size(); ++d) {
-        if (cur[d] == dst[d])
+    const int n = static_cast<int>(topo_.shape().size());
+    for (int d = 0; d < n; ++d) {
+        const int delta = topo_.coordAt(dest, d) - topo_.coordAt(current, d);
+        if (delta == 0)
             continue;
-        const Direction dir(static_cast<std::uint8_t>(d), dst[d] > cur[d]);
+        const Direction dir(static_cast<std::uint8_t>(d), delta > 0);
         TM_ASSERT(topo_.neighbor(current, dir).has_value(),
                   "dimension-order hop missing from topology");
         return DirectionSet::single(dir);

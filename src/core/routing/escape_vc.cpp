@@ -45,11 +45,16 @@ EscapeVcRouting::routeSet(NodeId current, std::optional<Direction> in_dir,
     if (on_escape)
         return escape;
 
-    // Adaptive candidates: every profitable hop on every VC >= 1.
+    // Adaptive candidates: every profitable hop on every VC >= 1. A
+    // virtual direction is profitable exactly when its physical one
+    // is, so the physical mesh decides once per physical direction.
     DirectionSet adaptive;
-    for (Direction vd : minimalDirectionSet(mesh_, current, dest)) {
-        if (mesh_.vcIndex(vd.dim) >= 1)
-            adaptive.insert(vd);
+    for (Direction pd : minimalDirectionSet(*phys_mesh_, current, dest)) {
+        for (int vc = 1; vc < mesh_.vcsOf(pd.dim); ++vc) {
+            adaptive.insert(Direction(
+                static_cast<std::uint8_t>(mesh_.virtualDim(pd.dim, vc)),
+                pd.positive));
+        }
     }
     return adaptive | escape;
 }

@@ -13,23 +13,22 @@ DirectionSet
 NegativeFirstRouting::routeSet(NodeId current, std::optional<Direction>,
                                NodeId dest) const
 {
-    const Coords cur = topo_.coords(current);
-    const Coords dst = topo_.coords(dest);
-    // Phase one: all negative hops, adaptively interleaved.
-    DirectionSet dirs;
-    for (std::size_t d = 0; d < cur.size(); ++d) {
-        if (dst[d] < cur[d])
-            dirs.insert(Direction(static_cast<std::uint8_t>(d), false));
+    // Phase one: all negative hops, adaptively interleaved. Phase
+    // two: all positive hops, adaptively interleaved.
+    DirectionSet negative;
+    DirectionSet positive;
+    const int n = static_cast<int>(topo_.shape().size());
+    for (int d = 0; d < n; ++d) {
+        const int delta = topo_.coordAt(dest, d) - topo_.coordAt(current, d);
+        if (delta < 0)
+            negative.insert(Direction(static_cast<std::uint8_t>(d), false));
+        else if (delta > 0)
+            positive.insert(Direction(static_cast<std::uint8_t>(d), true));
     }
-    if (!dirs.empty())
-        return dirs;
-    // Phase two: all positive hops, adaptively interleaved.
-    for (std::size_t d = 0; d < cur.size(); ++d) {
-        if (dst[d] > cur[d])
-            dirs.insert(Direction(static_cast<std::uint8_t>(d), true));
-    }
-    TM_ASSERT(!dirs.empty(), "routeSet() called with current == dest");
-    return dirs;
+    if (!negative.empty())
+        return negative;
+    TM_ASSERT(!positive.empty(), "routeSet() called with current == dest");
+    return positive;
 }
 
 } // namespace turnmodel

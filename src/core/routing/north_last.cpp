@@ -14,22 +14,22 @@ DirectionSet
 NorthLastRouting::routeSet(NodeId current, std::optional<Direction>,
                            NodeId dest) const
 {
-    const Coords cur = topo_.coords(current);
-    const Coords dst = topo_.coords(dest);
+    const int dx = topo_.coordAt(dest, 0) - topo_.coordAt(current, 0);
+    const int dy = topo_.coordAt(dest, 1) - topo_.coordAt(current, 1);
     // Adaptive phase: west, south, and east while any of them is
     // profitable. North is deferred because a northbound packet may
     // not turn again.
     DirectionSet dirs;
-    if (dst[0] < cur[0])
+    if (dx < 0)
         dirs.insert(dir2d::West);
-    if (dst[1] < cur[1])
+    if (dy < 0)
         dirs.insert(dir2d::South);
-    if (dst[0] > cur[0])
+    if (dx > 0)
         dirs.insert(dir2d::East);
     if (!dirs.empty())
         return dirs;
     // Final phase: a straight northward run.
-    TM_ASSERT(dst[1] > cur[1], "routeSet() called with current == dest");
+    TM_ASSERT(dy > 0, "routeSet() called with current == dest");
     return DirectionSet::single(dir2d::North);
 }
 

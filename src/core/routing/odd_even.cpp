@@ -12,7 +12,7 @@ oddEvenTurnRule(const Topology &topo)
             return true;    // Straight travel is always allowed.
         if (t.kind() == TurnKind::OneEighty)
             return false;   // Minimal-model default.
-        const bool even_column = topo.coords(at)[0] % 2 == 0;
+        const bool even_column = topo.coordAt(at, 0) % 2 == 0;
         const bool from_east = t.from == dir2d::East;
         const bool to_west = t.to == dir2d::West;
         // Rules 1 and 2: EN and ES prohibited in even columns; NW

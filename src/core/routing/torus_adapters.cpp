@@ -18,11 +18,9 @@ WraparoundFirstHopRouting::WraparoundFirstHopRouting(const KAryNCube &torus,
 int
 WraparoundFirstHopRouting::meshDistance(NodeId a, NodeId b) const
 {
-    const Coords ca = torus_.coords(a);
-    const Coords cb = torus_.coords(b);
     int dist = 0;
-    for (std::size_t d = 0; d < ca.size(); ++d)
-        dist += std::abs(ca[d] - cb[d]);
+    for (int d = 0; d < torus_.numDims(); ++d)
+        dist += std::abs(torus_.coordAt(a, d) - torus_.coordAt(b, d));
     return dist;
 }
 
@@ -68,8 +66,6 @@ TorusNegativeFirstRouting::routeSet(NodeId current,
                                     std::optional<Direction>,
                                     NodeId dest) const
 {
-    const Coords cur = torus_.coords(current);
-    const Coords dst = torus_.coords(dest);
     const int n = torus_.numDims();
 
     // Phase one while any coordinate must decrease. The +dim
@@ -79,14 +75,16 @@ TorusNegativeFirstRouting::routeSet(NodeId current,
     DirectionSet dirs;
     bool need_negative = false;
     for (int d = 0; d < n; ++d) {
-        if (dst[d] < cur[d]) {
+        const int cur = torus_.coordAt(current, d);
+        const int dst = torus_.coordAt(dest, d);
+        if (dst < cur) {
             need_negative = true;
             dirs.insert(Direction(static_cast<std::uint8_t>(d), false));
             const int k = torus_.radix(d);
-            const bool at_top = cur[d] == k - 1;
-            // Around the top: one wraparound hop plus dst[d] positive
-            // hops later, versus cur[d]-dst[d] mesh hops.
-            if (at_top && 1 + dst[d] < cur[d] - dst[d])
+            const bool at_top = cur == k - 1;
+            // Around the top: one wraparound hop plus dst positive
+            // hops later, versus cur-dst mesh hops.
+            if (at_top && 1 + dst < cur - dst)
                 dirs.insert(Direction(static_cast<std::uint8_t>(d), true));
         }
     }
@@ -98,10 +96,12 @@ TorusNegativeFirstRouting::routeSet(NodeId current,
     // only when the destination sits exactly at k-1 (anything past
     // the destination would need a prohibited negative correction).
     for (int d = 0; d < n; ++d) {
-        if (dst[d] > cur[d]) {
+        const int cur = torus_.coordAt(current, d);
+        const int dst = torus_.coordAt(dest, d);
+        if (dst > cur) {
             dirs.insert(Direction(static_cast<std::uint8_t>(d), true));
             const int k = torus_.radix(d);
-            if (cur[d] == 0 && dst[d] == k - 1 && k > 2)
+            if (cur == 0 && dst == k - 1 && k > 2)
                 dirs.insert(Direction(static_cast<std::uint8_t>(d), false));
         }
     }

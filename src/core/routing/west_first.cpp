@@ -14,19 +14,19 @@ DirectionSet
 WestFirstRouting::routeSet(NodeId current, std::optional<Direction>,
                            NodeId dest) const
 {
-    const Coords cur = topo_.coords(current);
-    const Coords dst = topo_.coords(dest);
+    const int dx = topo_.coordAt(dest, 0) - topo_.coordAt(current, 0);
     // Phase one: all westward hops happen before anything else.
-    if (dst[0] < cur[0])
+    if (dx < 0)
         return DirectionSet::single(dir2d::West);
     // Phase two: fully adaptive among the remaining profitable
     // directions (south, east, north).
+    const int dy = topo_.coordAt(dest, 1) - topo_.coordAt(current, 1);
     DirectionSet dirs;
-    if (dst[1] < cur[1])
+    if (dy < 0)
         dirs.insert(dir2d::South);
-    if (dst[0] > cur[0])
+    if (dx > 0)
         dirs.insert(dir2d::East);
-    if (dst[1] > cur[1])
+    if (dy > 0)
         dirs.insert(dir2d::North);
     TM_ASSERT(!dirs.empty(), "routeSet() called with current == dest");
     return dirs;

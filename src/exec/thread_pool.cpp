@@ -87,6 +87,11 @@ ThreadPool::workerLoop(unsigned id)
         if (stop_)
             return;
         seen = generation_;
+        // A worker that wakes only after the batch finished must not
+        // join it: parallelFor may already have returned, and a late
+        // ++active_ would trip the next call's reentrancy check.
+        if (outstanding_ == 0)
+            continue;
         ++active_;
         lock.unlock();
 

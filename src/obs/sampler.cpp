@@ -5,10 +5,12 @@
 namespace turnmodel {
 
 TimeSeriesSampler::TimeSeriesSampler(std::uint64_t start_cycle,
+                                     std::uint64_t flits_delivered_total,
                                      std::uint64_t stride,
                                      double latency_hi,
                                      std::size_t bins)
     : stride_(stride), window_start_(start_cycle),
+      window_flits_base_(flits_delivered_total),
       window_hist_(0.0, latency_hi > 0.0 ? latency_hi : 1.0, bins)
 {
     TM_ASSERT(stride >= 1, "sampler stride must be positive");

@@ -38,14 +38,19 @@ class TimeSeriesSampler
   public:
     /**
      * @param start_cycle First cycle of the measurement window.
+     * @param flits_delivered_total The driver's running flit total
+     *                    at @p start_cycle; the first window counts
+     *                    deliveries from there on.
      * @param stride      Cycles per sample window; must be >= 1.
      * @param latency_hi  Upper bound of the per-window latency
      *                    histogram (cycles); p99 beyond it is clamped
      *                    and flagged.
      * @param bins        Histogram bins per window.
      */
-    TimeSeriesSampler(std::uint64_t start_cycle, std::uint64_t stride,
-                      double latency_hi, std::size_t bins = 256);
+    TimeSeriesSampler(std::uint64_t start_cycle,
+                      std::uint64_t flits_delivered_total,
+                      std::uint64_t stride, double latency_hi,
+                      std::size_t bins = 256);
 
     /** One measured completion with the given latency in cycles. */
     void onCompletion(double latency_cycles);
@@ -74,7 +79,7 @@ class TimeSeriesSampler
 
     std::uint64_t stride_;
     std::uint64_t window_start_;
-    std::uint64_t window_flits_base_ = 0;
+    std::uint64_t window_flits_base_;
     RunningStats window_latency_;
     Histogram window_hist_;
     std::vector<WindowSample> samples_;

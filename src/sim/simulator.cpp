@@ -59,7 +59,8 @@ Simulator::run()
     P2Quantile latency_p99(0.99);
 
     if (config_.obs.sample_stride > 0) {
-        sampler_.emplace(network_->now(), config_.obs.sample_stride,
+        sampler_.emplace(network_->now(), flits_delivered_before,
+                         config_.obs.sample_stride,
                          static_cast<double>(config_.measure_cycles));
     }
 

@@ -37,13 +37,12 @@ HexMesh::axialDelta(Direction dir)
 std::optional<NodeId>
 HexMesh::neighbor(NodeId node, Direction dir) const
 {
-    Coords c = coords(node);
     const auto [dq, dr] = axialDelta(dir);
-    const int q = c[0] + dq;
-    const int r = c[1] + dr;
+    const int q = coordAt(node, 0) + dq;
+    const int r = coordAt(node, 1) + dr;
     if (q < 0 || q >= shape_[0] || r < 0 || r >= shape_[1])
         return std::nullopt;
-    return this->node({q, r});
+    return static_cast<NodeId>(q) + static_cast<NodeId>(r) * stride(1);
 }
 
 bool
@@ -62,10 +61,8 @@ HexMesh::name() const
 int
 HexMesh::distance(NodeId a, NodeId b) const
 {
-    const Coords ca = coords(a);
-    const Coords cb = coords(b);
-    const int dq = cb[0] - ca[0];
-    const int dr = cb[1] - ca[1];
+    const int dq = coordAt(b, 0) - coordAt(a, 0);
+    const int dr = coordAt(b, 1) - coordAt(a, 1);
     return (std::abs(dq) + std::abs(dr) + std::abs(dq + dr)) / 2;
 }
 

@@ -21,12 +21,7 @@ NDMesh::mesh2D(int m, int n)
 std::optional<NodeId>
 NDMesh::neighbor(NodeId node, Direction dir) const
 {
-    Coords c = coords(node);
-    const int next = c[dir.dim] + dir.delta();
-    if (next < 0 || next >= radix(dir.dim))
-        return std::nullopt;
-    c[dir.dim] = next;
-    return this->node(c);
+    return step(node, dir.dim, dir.positive);
 }
 
 bool
@@ -50,11 +45,9 @@ NDMesh::name() const
 int
 NDMesh::distance(NodeId a, NodeId b) const
 {
-    const Coords ca = coords(a);
-    const Coords cb = coords(b);
     int dist = 0;
-    for (std::size_t d = 0; d < ca.size(); ++d)
-        dist += std::abs(ca[d] - cb[d]);
+    for (int d = 0; d < static_cast<int>(shape_.size()); ++d)
+        dist += std::abs(coordAt(a, d) - coordAt(b, d));
     return dist;
 }
 

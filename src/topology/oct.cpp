@@ -38,13 +38,12 @@ OctMesh::gridDelta(Direction dir)
 std::optional<NodeId>
 OctMesh::neighbor(NodeId node, Direction dir) const
 {
-    Coords c = coords(node);
     const auto [dx, dy] = gridDelta(dir);
-    const int x = c[0] + dx;
-    const int y = c[1] + dy;
+    const int x = coordAt(node, 0) + dx;
+    const int y = coordAt(node, 1) + dy;
     if (x < 0 || x >= shape_[0] || y < 0 || y >= shape_[1])
         return std::nullopt;
-    return this->node({x, y});
+    return static_cast<NodeId>(x) + static_cast<NodeId>(y) * stride(1);
 }
 
 bool
@@ -63,9 +62,8 @@ OctMesh::name() const
 int
 OctMesh::distance(NodeId a, NodeId b) const
 {
-    const Coords ca = coords(a);
-    const Coords cb = coords(b);
-    return std::max(std::abs(cb[0] - ca[0]), std::abs(cb[1] - ca[1]));
+    return std::max(std::abs(coordAt(b, 0) - coordAt(a, 0)),
+                    std::abs(coordAt(b, 1) - coordAt(a, 1)));
 }
 
 int

@@ -11,6 +11,11 @@ Topology::Topology(Shape shape)
     const std::uint64_t n = shapeSize(shape_);
     TM_ASSERT(n <= (1ULL << 31), "topology too large");
     num_nodes_ = static_cast<NodeId>(n);
+    NodeId stride = 1;
+    for (int k : shape_) {
+        strides_.push_back(stride);
+        stride *= static_cast<NodeId>(k);
+    }
 }
 
 std::vector<Direction>

@@ -15,6 +15,7 @@
 
 #include "topology/coordinates.hpp"
 #include "topology/direction.hpp"
+#include "util/logging.hpp"
 
 namespace turnmodel {
 
@@ -76,6 +77,18 @@ class Topology
     NodeId node(const Coords &coords) const { return nodeAt(coords, shape_); }
 
     /**
+     * Coordinate of @p node in physical dimension @p pdim, i.e.
+     * coords(node)[pdim] without building the coordinate vector.
+     */
+    int coordAt(NodeId node, int pdim) const
+    {
+        TM_ASSERT(node < num_nodes_, "node id ", node, " outside of shape");
+        const auto d = static_cast<std::size_t>(pdim);
+        return static_cast<int>(node / strides_[d]
+                                % static_cast<NodeId>(shape_[d]));
+    }
+
+    /**
      * The neighbor reached by leaving @p node in direction @p dir, or
      * nullopt when no channel exists that way (mesh boundary).
      */
@@ -114,8 +127,37 @@ class Topology
     std::size_t countChannels() const;
 
   protected:
+    /**
+     * Node-id distance between neighbors along physical dimension
+     * @p pdim: stepping +1 in that coordinate adds stride(pdim).
+     */
+    NodeId stride(int pdim) const
+    {
+        return strides_[static_cast<std::size_t>(pdim)];
+    }
+
+    /**
+     * The node one hop from @p node along physical dimension @p pdim
+     * (towards higher coordinates when @p positive), or nullopt when
+     * the hop would leave the grid. Wraparound is the caller's job.
+     */
+    std::optional<NodeId> step(NodeId node, int pdim, bool positive) const
+    {
+        const int c = coordAt(node, pdim);
+        if (positive) {
+            if (c + 1 >= shape_[static_cast<std::size_t>(pdim)])
+                return std::nullopt;
+            return node + stride(pdim);
+        }
+        if (c == 0)
+            return std::nullopt;
+        return node - stride(pdim);
+    }
+
     Shape shape_;
     NodeId num_nodes_;
+    /** strides_[d] = k_0 * ... * k_{d-1}, the id weight of dim d. */
+    std::vector<NodeId> strides_;
 };
 
 } // namespace turnmodel

@@ -27,30 +27,26 @@ KAryNCube::KAryNCube(int k, int n)
 std::optional<NodeId>
 KAryNCube::neighbor(NodeId node, Direction dir) const
 {
-    Coords c = coords(node);
-    const int k = radix(dir.dim);
-    int next = c[dir.dim] + dir.delta();
-    if (next < 0)
-        next += k;
-    else if (next >= k)
-        next -= k;
-    // In a 2-ary cube both directions reach the same single neighbor;
+    if (const auto next = step(node, dir.dim, dir.positive))
+        return next;
+    // The hop leaves the array edge and wraps to the opposite one. In
+    // a 2-ary cube both directions reach the same single neighbor;
     // model one channel per neighbor pair by only exposing the hop
     // whose direction matches the non-wrapping move.
-    if (k == 2 && isWraparound(node, dir))
+    const int k = shape_[dir.dim];
+    if (k == 2)
         return std::nullopt;
-    c[dir.dim] = next;
-    return this->node(c);
+    const NodeId span = static_cast<NodeId>(k - 1) * stride(dir.dim);
+    return dir.positive ? node - span : node + span;
 }
 
 bool
 KAryNCube::isWraparound(NodeId node, Direction dir) const
 {
-    const Coords c = coords(node);
-    const int k = radix(dir.dim);
+    const int c = coordAt(node, dir.dim);
     if (dir.positive)
-        return c[dir.dim] == k - 1;
-    return c[dir.dim] == 0;
+        return c == shape_[dir.dim] - 1;
+    return c == 0;
 }
 
 std::string
@@ -63,13 +59,11 @@ KAryNCube::name() const
 int
 KAryNCube::distance(NodeId a, NodeId b) const
 {
-    const Coords ca = coords(a);
-    const Coords cb = coords(b);
     int dist = 0;
-    for (std::size_t d = 0; d < ca.size(); ++d) {
-        const int k = shape_[d];
-        const int direct = std::abs(ca[d] - cb[d]);
-        dist += std::min(direct, k - direct);
+    for (std::size_t d = 0; d < shape_.size(); ++d) {
+        const int i = static_cast<int>(d);
+        const int direct = std::abs(coordAt(a, i) - coordAt(b, i));
+        dist += std::min(direct, shape_[d] - direct);
     }
     return dist;
 }

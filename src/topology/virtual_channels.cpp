@@ -75,13 +75,7 @@ VirtualizedMesh::physicalDirection(Direction vdir) const
 std::optional<NodeId>
 VirtualizedMesh::neighbor(NodeId node, Direction dir) const
 {
-    Coords c = coordsOf(node, shape_);
-    const int pdim = physicalDim(dir.dim);
-    const int next = c[static_cast<std::size_t>(pdim)] + dir.delta();
-    if (next < 0 || next >= shape_[static_cast<std::size_t>(pdim)])
-        return std::nullopt;
-    c[static_cast<std::size_t>(pdim)] = next;
-    return nodeAt(c, shape_);
+    return step(node, physicalDim(dir.dim), dir.positive);
 }
 
 bool
@@ -108,11 +102,9 @@ VirtualizedMesh::name() const
 int
 VirtualizedMesh::distance(NodeId a, NodeId b) const
 {
-    const Coords ca = coordsOf(a, shape_);
-    const Coords cb = coordsOf(b, shape_);
     int dist = 0;
-    for (std::size_t p = 0; p < ca.size(); ++p)
-        dist += std::abs(ca[p] - cb[p]);
+    for (int p = 0; p < numPhysicalDims(); ++p)
+        dist += std::abs(coordAt(a, p) - coordAt(b, p));
     return dist;
 }
 

@@ -32,11 +32,11 @@ PermutationTraffic::PermutationTraffic(const Topology &topo)
 std::optional<NodeId>
 PermutationTraffic::destination(NodeId src, Rng &) const
 {
-    if (table_.empty()) {
+    std::call_once(table_once_, [this] {
         table_.resize(topo_.numNodes());
         for (NodeId v = 0; v < topo_.numNodes(); ++v)
             table_[v] = map(v);
-    }
+    });
     const NodeId d = table_[src];
     if (d == src)
         return std::nullopt;

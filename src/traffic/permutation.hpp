@@ -10,6 +10,8 @@
 #ifndef TURNMODEL_TRAFFIC_PERMUTATION_HPP
 #define TURNMODEL_TRAFFIC_PERMUTATION_HPP
 
+#include <mutex>
+
 #include "traffic/pattern.hpp"
 
 namespace turnmodel {
@@ -38,7 +40,10 @@ class PermutationTraffic : public TrafficPattern
     // allocates; destination() sits in the simulator's per-message
     // path and must not. The full table is tiny (one NodeId per
     // node), so it is memoized on first use — lazily, because map()
-    // is virtual and unavailable in this base's constructor.
+    // is virtual and unavailable in this base's constructor. Parallel
+    // sweep points share one pattern, so the fill runs under
+    // call_once: a reader must never see the table half built.
+    mutable std::once_flag table_once_;
     mutable std::vector<NodeId> table_;
 };
 

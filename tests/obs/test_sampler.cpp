@@ -3,7 +3,8 @@
  * Tests for the time-series sampler: window bookkeeping in isolation
  * and the sample series a Simulator produces when the stride knob is
  * set — contiguous windows covering the measurement span, per-window
- * deliveries summing to the run total, and the p99 clamp flag
+ * deliveries summing to exactly the flits delivered in the measurement
+ * window (warmup deliveries excluded), and the p99 clamp flag
  * propagating from the histogram.
  */
 
@@ -20,11 +21,12 @@ namespace {
 
 TEST(TimeSeriesSampler, ClosesContiguousWindowsOnStride)
 {
-    TimeSeriesSampler sampler(100, 50, 1000.0);
+    // 40 flits were delivered before the window opened (warmup).
+    TimeSeriesSampler sampler(100, /*flits=*/40, 50, 1000.0);
     sampler.onCompletion(10.0);
     sampler.onCompletion(20.0);
     for (std::uint64_t now = 101; now <= 160; ++now)
-        sampler.onCycle(now, /*flits=*/now - 100, /*queue=*/3);
+        sampler.onCycle(now, /*flits=*/40 + now - 100, /*queue=*/3);
 
     ASSERT_EQ(sampler.samples().size(), 1u);
     const WindowSample &w = sampler.samples()[0];
@@ -40,7 +42,7 @@ TEST(TimeSeriesSampler, ClosesContiguousWindowsOnStride)
 
 TEST(TimeSeriesSampler, FinishClosesPartialWindow)
 {
-    TimeSeriesSampler sampler(0, 100, 1000.0);
+    TimeSeriesSampler sampler(0, 0, 100, 1000.0);
     sampler.onCompletion(5.0);
     sampler.onCycle(60, 7, 0);
     ASSERT_TRUE(sampler.samples().empty());
@@ -56,7 +58,7 @@ TEST(TimeSeriesSampler, FinishClosesPartialWindow)
 
 TEST(TimeSeriesSampler, FlagsClampedWindowP99)
 {
-    TimeSeriesSampler sampler(0, 10, /*latency_hi=*/50.0);
+    TimeSeriesSampler sampler(0, 0, 10, /*latency_hi=*/50.0);
     for (int i = 0; i < 20; ++i)
         sampler.onCompletion(500.0);   // All beyond the histogram.
     sampler.onCycle(10, 20, 0);
@@ -90,13 +92,23 @@ TEST(TimeSeriesSampler, SimulatorSeriesCoversMeasurementWindow)
     for (std::size_t i = 0; i < report.samples.size(); ++i) {
         const WindowSample &w = report.samples[i];
         EXPECT_EQ(w.end_cycle - w.start_cycle, 250u);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_EQ(w.start_cycle, report.samples[i - 1].end_cycle);
+        }
         delivered_in_windows += w.flits_delivered;
     }
     EXPECT_EQ(report.samples.front().start_cycle, 500u);
     EXPECT_EQ(report.samples.back().end_cycle, 2500u);
-    EXPECT_GT(delivered_in_windows, 0u);
+
+    // The run is deterministic, so a twin engine stepped through the
+    // warmup alone delivers exactly the flits the windows must omit.
+    const auto twin = makeEngine(*routing, *pattern, config);
+    for (std::uint64_t c = 0; c < config.warmup_cycles; ++c)
+        twin->step();
+    const std::uint64_t warmup_flits = twin->counters().flits_delivered;
+    ASSERT_GT(warmup_flits, 0u);
+    EXPECT_EQ(delivered_in_windows,
+              sim.network().counters().flits_delivered - warmup_flits);
 }
 
 TEST(TimeSeriesSampler, SamplerDoesNotPerturbResults)

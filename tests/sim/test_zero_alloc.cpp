@@ -14,6 +14,11 @@
  * mesh path, the observer-on path (channel counters + trace ring),
  * and the virtual-channel path whose physical-wire arbitration has
  * its own scratch state.
+ *
+ * The same counters pin the grid geometry: neighbor(), distance(),
+ * isWraparound() and coordAt() of every grid topology, and routeSet()
+ * of the coordinate-reading routing algorithms, allocate nothing —
+ * the property that makes compiling a routing table cheap.
  */
 
 #include <atomic>
@@ -26,7 +31,11 @@
 
 #include "core/routing/factory.hpp"
 #include "sim/network.hpp"
+#include "topology/hex.hpp"
+#include "topology/hypercube.hpp"
 #include "topology/mesh.hpp"
+#include "topology/oct.hpp"
+#include "topology/torus.hpp"
 #include "topology/virtual_channels.hpp"
 #include "traffic/pattern.hpp"
 
@@ -198,6 +207,110 @@ TEST(ZeroAlloc, SaturatedNetworkOnlyGrowsHighWaterMarks)
     Network net(*routing, *pattern, cfg);
     const std::uint64_t n = allocationsInSteadyState(net, 20000, 3000);
     EXPECT_LE(n, 64u);
+}
+
+/** Heap allocations performed while running @p fn. */
+template <typename Fn>
+std::uint64_t
+allocationsDuring(Fn &&fn)
+{
+    allocations.store(0);
+    counting.store(true);
+    fn();
+    counting.store(false);
+    return allocations.load();
+}
+
+TEST(GeometryAlloc, GridQueriesAreAllocationFree)
+{
+    const NDMesh mesh2 = NDMesh::mesh2D(5, 4);
+    const NDMesh mesh3(Shape{3, 4, 2});
+    const Hypercube cube(5);
+    const KAryNCube torus(4, 2);
+    const KAryNCube binary_torus(2, 3);
+    const VirtualizedMesh uniform = VirtualizedMesh::uniform({5, 4}, 2);
+    const VirtualizedMesh double_y = VirtualizedMesh::doubleY(4, 5);
+    const HexMesh hex(4, 5);
+    const OctMesh oct(5, 4);
+    const Topology *const topologies[] = {&mesh2,   &mesh3,    &cube,
+                                          &torus,   &binary_torus,
+                                          &uniform, &double_y, &hex,
+                                          &oct};
+    for (const Topology *topo : topologies) {
+        std::uint64_t acc = 0;
+        const std::uint64_t n = allocationsDuring([&] {
+            for (NodeId v = 0; v < topo->numNodes(); ++v) {
+                for (int p = 0; p < static_cast<int>(topo->shape().size());
+                     ++p)
+                    acc += static_cast<std::uint64_t>(topo->coordAt(v, p));
+                for (DirId id = 0; id < topo->numDirs(); ++id) {
+                    const Direction d = Direction::fromId(id);
+                    acc += topo->neighbor(v, d).value_or(0);
+                    acc += topo->isWraparound(v, d) ? 1 : 0;
+                }
+                for (NodeId w = 0; w < topo->numNodes(); ++w)
+                    acc += static_cast<std::uint64_t>(topo->distance(v, w));
+            }
+        });
+        EXPECT_EQ(n, 0u) << topo->name();
+        EXPECT_GT(acc, 0u);
+    }
+}
+
+/**
+ * Allocations of one routeSet() sweep over every (node, arrival
+ * state, destination) triple — the sweep a compiled table makes. A
+ * first, uncounted sweep fills lazily built state (odd-even's
+ * reachability tables); the second must not touch the heap.
+ */
+std::uint64_t
+routeSweepAllocations(const RoutingAlgorithm &routing)
+{
+    const Topology &topo = routing.topology();
+    std::uint64_t acc = 0;
+    const auto sweep = [&] {
+        for (NodeId v = 0; v < topo.numNodes(); ++v) {
+            for (NodeId dest = 0; dest < topo.numNodes(); ++dest) {
+                if (v == dest)
+                    continue;
+                acc += routing.routeSet(v, std::nullopt, dest).raw();
+                for (DirId id = 0; id < topo.numDirs(); ++id) {
+                    acc += routing.routeSet(v, Direction::fromId(id), dest)
+                               .raw();
+                }
+            }
+        }
+    };
+    sweep();
+    const std::uint64_t n = allocationsDuring(sweep);
+    EXPECT_GT(acc, 0u);
+    return n;
+}
+
+TEST(GeometryAlloc, PortedRoutingIsAllocationFree)
+{
+    const NDMesh mesh = NDMesh::mesh2D(5, 4);
+    for (const char *name :
+         {"xy", "west-first", "north-last", "negative-first", "odd-even",
+          "fully-adaptive"}) {
+        const RoutingPtr routing = makeRouting(name, mesh);
+        EXPECT_EQ(routeSweepAllocations(*routing), 0u) << name;
+    }
+    const NDMesh mesh3(Shape{3, 4, 2});
+    for (const char *name :
+         {"dimension-order", "negative-first", "abonf", "abopl"}) {
+        const RoutingPtr routing = makeRouting(name, mesh3);
+        EXPECT_EQ(routeSweepAllocations(*routing), 0u) << name;
+    }
+    const KAryNCube torus(5, 2);
+    for (const char *name :
+         {"torus-negative-first", "wrap-first-hop:west-first"}) {
+        const RoutingPtr routing = makeRouting(name, torus);
+        EXPECT_EQ(routeSweepAllocations(*routing), 0u) << name;
+    }
+    const VirtualizedMesh vmesh = VirtualizedMesh::uniform({5, 4}, 2);
+    const RoutingPtr escape = makeRouting("vc:west-first", vmesh);
+    EXPECT_EQ(routeSweepAllocations(*escape), 0u) << "vc:west-first";
 }
 
 } // namespace

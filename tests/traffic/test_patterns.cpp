@@ -8,7 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "topology/hypercube.hpp"
 #include "topology/mesh.hpp"
@@ -179,6 +183,35 @@ TEST(BitComplement, ReflectsAllCoordinates)
     EXPECT_EQ(complement.map(mesh.node({0, 0})), mesh.node({7, 7}));
     EXPECT_EQ(complement.map(mesh.node({2, 5})), mesh.node({5, 2}));
     EXPECT_TRUE(complement.isBijective());
+}
+
+TEST(BitComplement, SharedAcrossThreadsGivesEveryThreadTheMap)
+{
+    // Parallel sweep points share one pattern; its memoized
+    // destination table must be complete before any thread reads it.
+    const NDMesh mesh = NDMesh::mesh2D(64, 64);
+    const BitComplementTraffic complement(mesh);
+    std::vector<std::vector<NodeId>> seen(4);
+    std::atomic<bool> go{false};
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < seen.size(); ++t) {
+        threads.emplace_back([&, t] {
+            Rng rng(t);
+            while (!go.load())
+                std::this_thread::yield();
+            // Stagger the readers so later ones arrive mid-fill.
+            std::this_thread::sleep_for(std::chrono::microseconds(40 * t));
+            for (NodeId v = 0; v < mesh.numNodes(); ++v)
+                seen[t].push_back(complement.destination(v, rng).value_or(v));
+        });
+    }
+    go.store(true);
+    for (std::thread &thread : threads)
+        thread.join();
+    for (const std::vector<NodeId> &dests : seen) {
+        for (NodeId v = 0; v < mesh.numNodes(); ++v)
+            EXPECT_EQ(dests[v], complement.map(v)) << v;
+    }
 }
 
 TEST(BitReversal, ReversesAddressBits)
