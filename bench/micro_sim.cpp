@@ -58,7 +58,7 @@ struct Scenario
     /** Shards stepping the network (SimConfig::sim_threads). */
     unsigned threads = 1;
     /** Output-selection policy; empty = engine default. */
-    std::string sel;
+    std::string sel{};
     /** Closed-loop request/reply workload (traffic/workload.hpp):
      * exercises the reply-scheduling path in the delivery hot loop. */
     bool reqreply = false;

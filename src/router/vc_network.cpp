@@ -148,20 +148,17 @@ VcNetwork::VcNetwork(const RoutingAlgorithm &routing,
     reply_delay_ = 1 + config_.workload.think_cycles;
 
     // Output-selection policy, built like the classic engine's
-    // against the active route decider; congestion snapshots are
-    // sized only on demand.
+    // against the active route decider; congestion state is sized
+    // only on demand.
     sel_ = makeSelectionPolicy(config_.selection_policy.empty()
                                    ? toString(config_.output_selection)
                                    : config_.selection_policy,
                                *decider_);
-    sel_needs_ = sel_->needs();
-    if (sel_needs_.free_slots)
+    const SelectionNeeds needs = sel_->needs();
+    if (needs.free_slots) {
         free_snap_.assign(total_ports, 0);
-    if (sel_needs_.regional) {
-        regional_snap_.assign(total_ports, 0);
-        blocked_ewma_.assign(total_ports, 0);
-        router_blocked_.assign(topo_.numNodes(), 0);
-        fwd_stamp_.assign(total_ports, ~0ULL);
+        if (!ideal_)
+            free_snap_at_.assign(total_ports, ~0ULL);
     }
 
     // Shard plan; gates identical to the classic engine (an
@@ -194,9 +191,18 @@ VcNetwork::VcNetwork(const RoutingAlgorithm &routing,
         sh.port_end = plan_.portEnd(s);
         sh.move_memo.assign(total_ports, ~0ULL);
         sh.credit_ring.resize(credit_delay_ + 1);
+        if (!ideal_) {
+            sh.allocator.configure(
+                sh.node_begin * resources_per_router,
+                (sh.node_end - sh.node_begin) * resources_per_router);
+        }
     }
     if (num_shards_ > 1)
         team_ = std::make_unique<WorkerTeam>(num_shards_);
+    if (needs.regional) {
+        congestion_.configure(topo_.numNodes(), ports_per_router_,
+                              out_to_in_, plan_.portBounds());
+    }
 
     source_queues_.resize(topo_.numNodes());
     source_pending_.assign(topo_.numNodes(), 0);
@@ -274,13 +280,6 @@ VcNetwork::stepShard(std::uint32_t s)
     Shard &sh = shards_[s];
     sh.moved = false;
 
-    // Snapshot cycle-start congestion for the selection policy,
-    // before this shard's own credit returns mutate the counters.
-    // Sources are frozen until phases several barriers away and the
-    // snapshot arrays are owner-local, so no extra barrier needed.
-    if (sel_needs_.free_slots || sel_needs_.regional)
-        snapshotCongestion(sh);
-
     // Phase: sample arrivals, then the serial slot/id reservation.
     // With a closed loop, matured replies must be staged even while
     // stochastic generation is off (drain phases honor the
@@ -300,7 +299,7 @@ VcNetwork::stepShard(std::uint32_t s)
         applyCreditReturns(sh);
     if (generate_ || closed_loop_)
         commitGeneration(sh, s);
-    allocateVcs(sh);
+    allocateVcs(sh, s);
     sync();
 
     // Phase: decide moves against the frozen cycle-start state.
@@ -329,8 +328,11 @@ VcNetwork::stepShard(std::uint32_t s)
     compactActive(sh);
     injectFlits(sh);
     recordHeldPorts(sh);
-    if (sel_needs_.regional)
-        updateCongestion(sh);
+    if (congestion_.enabled()) {
+        congestion_.update(s, cycle_, [this](std::uint32_t p) {
+            return out_ports_[p].owner != kNoSlot;
+        });
+    }
     sync();
 
     // Phase: mailboxed slot releases and upstream credits go home.
@@ -396,6 +398,12 @@ VcNetwork::applyCreditReturns(Shard &sh)
 {
     auto &bucket = sh.credit_ring[cycle_ % sh.credit_ring.size()];
     for (const CreditEvent &e : bucket) {
+        // The policy reads cycle-start free slots: keep the value
+        // this return is about to change.
+        if (!free_snap_.empty() && free_snap_at_[e.out_port] != cycle_) {
+            free_snap_[e.out_port] = freeSlots(e.out_port);
+            free_snap_at_[e.out_port] = cycle_;
+        }
         ++credits_[e.out_port];
         TM_ASSERT(credits_[e.out_port] <=
                       static_cast<std::int64_t>(buffer_depth_),
@@ -466,10 +474,18 @@ VcNetwork::gatherBid(Shard &sh, std::uint32_t port)
         q.dest = pkt.dest;
         q.packet = static_cast<std::uint64_t>(pkt.id);
         q.port_base = inPortId(here, 0);
-        q.free_slots =
-            free_snap_.empty() ? nullptr : free_snap_.data();
-        q.congestion =
-            regional_snap_.empty() ? nullptr : regional_snap_.data();
+        if (!free_snap_.empty()) {
+            // Cycle-start free slots of the candidates: the live
+            // value unless a credit return changed it this cycle.
+            for (Direction d : candidates) {
+                const std::uint32_t out = q.port_base + d.id();
+                if (ideal_ || free_snap_at_[out] != cycle_)
+                    free_snap_[out] = freeSlots(out);
+            }
+            q.free_slots = free_snap_.data();
+        }
+        if (congestion_.enabled())
+            q.congestion = congestion_.scores(q.port_base, candidates);
         q.rng = &router_rng_;
         preferred = inPortId(here, sel_->pick(q).id());
     }
@@ -477,7 +493,7 @@ VcNetwork::gatherBid(Shard &sh, std::uint32_t port)
 }
 
 void
-VcNetwork::allocateVcs(Shard &sh)
+VcNetwork::allocateVcs(Shard &sh, std::uint32_t s)
 {
     // VC allocation: every route-computed header bids for the single
     // free output VC its output-selection policy prefers; the
@@ -509,6 +525,8 @@ VcNetwork::allocateVcs(Shard &sh)
         const std::uint32_t in_port = sh.bid_group[win].in_port;
         InPort &in = in_ports_[in_port];
         out_ports_[out].owner = fifoFront(in_port).slot;
+        if (congestion_.enabled())
+            congestion_.noteOwned(s, out);
         in.granted_out = localOf(out);
         granted_[in_port] = 1;
         granted_out_port_[in_port] = out;
@@ -600,71 +618,16 @@ VcNetwork::decideMovesCredit(Shard &sh)
         }
         sh.sa_reqs.push_back({port, out});
     }
-    if (sh.sa_reqs.empty())
-        return;
 
-    // Separable two-stage allocation. Each stage keeps one request
-    // per crossbar resource under that resource's round-robin
-    // arbiter; a request must survive both stages. Requests are
-    // unique per input VC (one granted output each) and per output VC
-    // (one owner each), so a stage winner is unambiguous.
-    const auto filterStage = [this, &sh](std::vector<SaRequest> &from,
-                                         std::vector<SaRequest> &to,
-                                         bool by_input) {
-        const auto key = [this, by_input](const SaRequest &r) {
-            return by_input ? in_group_[r.in_port]
-                            : out_wire_[r.out_port];
-        };
-        const auto member = [by_input](const SaRequest &r) {
-            return by_input ? r.in_port : r.out_port;
-        };
-        std::sort(from.begin(), from.end(),
-                  [&](const SaRequest &a, const SaRequest &b) {
-                      if (key(a) != key(b))
-                          return key(a) < key(b);
-                      return member(a) < member(b);
-                  });
-        to.clear();
-        std::size_t i = 0;
-        while (i < from.size()) {
-            const std::uint32_t k = key(from[i]);
-            std::size_t j = i;
-            sh.sa_members.clear();
-            while (j < from.size() && key(from[j]) == k) {
-                sh.sa_members.push_back(member(from[j]));
-                ++j;
-            }
-            if (j - i == 1) {
-                to.push_back(from[i]);
-            } else {
-                const RoundRobinArbiter &arb =
-                    by_input ? in_arb_[k] : out_arb_[k];
-                const std::uint32_t w = arb.select(
-                    sh.sa_members.data(), sh.sa_members.size());
-                for (std::size_t m = i; m < j; ++m) {
-                    if (member(from[m]) == w) {
-                        to.push_back(from[m]);
-                        break;
-                    }
-                }
-            }
-            i = j;
-        }
-    };
-
-    if (sa_arbiter_ == SwitchArbiter::InputFirst) {
-        filterStage(sh.sa_reqs, sh.sa_stage, true);
-        filterStage(sh.sa_stage, sh.sa_reqs, false);
-    } else {
-        filterStage(sh.sa_reqs, sh.sa_stage, false);
-        filterStage(sh.sa_stage, sh.sa_reqs, true);
-    }
-
-    // Priority pointers advance only on confirmed grants, so a stage
-    // winner that loses the other stage keeps its priority.
-    for (const SaRequest &r : sh.sa_reqs) {
-        in_arb_[in_group_[r.in_port]].confirm(r.in_port);
-        out_arb_[out_wire_[r.out_port]].confirm(r.out_port);
+    // Separable two-stage allocation; a request must win its
+    // resource's round-robin arbiter in both stages. Requests are
+    // unique per input VC (one granted output each) and per output
+    // VC (one owner each), so a stage winner is unambiguous.
+    sh.allocator.allocate(sh.sa_reqs, in_group_.data(),
+                          out_wire_.data(), in_arb_.data(),
+                          out_arb_.data(),
+                          sa_arbiter_ == SwitchArbiter::InputFirst);
+    for (const SwitchRequest &r : sh.sa_reqs) {
         sh.moves.push_back({r.in_port, granted_target_[r.in_port],
                             r.out_port});
     }
@@ -774,8 +737,8 @@ VcNetwork::popMoves(Shard &sh, std::uint32_t s)
         const Flit flit = fifoPop(m.from);
         if (chan_stats_)
             chan_stats_->recordForward(m.out, cycle_);
-        if (!fwd_stamp_.empty())
-            fwd_stamp_[m.out] = cycle_;
+        if (congestion_.enabled())
+            congestion_.noteForward(m.out, cycle_);
         if (!ideal_) {
             if (m.to >= 0) {
                 TM_ASSERT(credits_[m.out] > 0,
@@ -979,60 +942,21 @@ VcNetwork::recordHeldPorts(Shard &sh)
     }
 }
 
-void
-VcNetwork::snapshotCongestion(Shard &sh)
+std::uint16_t
+VcNetwork::freeSlots(std::uint32_t out) const
 {
-    // Own output ports only (a bid's candidate outputs sit at the
-    // bidding port's own router). Under real credit flow the credit
-    // counters are already owner-local; ideal mode reads the
-    // downstream buffers directly, like the classic engine.
-    for (std::uint32_t p = sh.port_begin; p < sh.port_end; ++p) {
-        const std::int32_t down = out_to_in_[p];
-        if (!free_snap_.empty()) {
-            std::int64_t free = static_cast<std::int64_t>(
-                buffer_depth_);
-            if (down >= 0) {
-                free = ideal_
-                    ? static_cast<std::int64_t>(buffer_depth_) -
-                        in_ports_[static_cast<std::uint32_t>(down)]
-                            .fifo_size
-                    : credits_[p];
-            }
-            free_snap_[p] =
-                static_cast<std::uint16_t>(free < 0 ? 0 : free);
-        }
-        if (!regional_snap_.empty()) {
-            std::uint32_t r =
-                static_cast<std::uint32_t>(blocked_ewma_[p]);
-            if (down >= 0)
-                r += router_blocked_[port_router_[
-                    static_cast<std::uint32_t>(down)]];
-            regional_snap_[p] = r;
-        }
+    // Credits under real flow control; ideal mode reads the
+    // downstream buffer directly, like the classic engine. Ejection
+    // never waits.
+    const std::int32_t down = out_to_in_[out];
+    std::int64_t free = static_cast<std::int64_t>(buffer_depth_);
+    if (down >= 0) {
+        free = ideal_
+            ? static_cast<std::int64_t>(buffer_depth_) -
+                in_ports_[static_cast<std::uint32_t>(down)].fifo_size
+            : credits_[out];
     }
-}
-
-void
-VcNetwork::updateCongestion(Shard &sh)
-{
-    // Same Q16 blocked EWMA as the classic engine: an owned output
-    // VC either forwarded this cycle or sat blocked (no credits, an
-    // upstream bubble, or a lost switch allocation).
-    constexpr std::int32_t kOne = 1 << 16;
-    constexpr int kShift = 6;
-    for (std::uint32_t p = sh.port_begin; p < sh.port_end; ++p) {
-        const bool blocked = out_ports_[p].owner != kNoSlot &&
-            fwd_stamp_[p] != cycle_;
-        blocked_ewma_[p] +=
-            ((blocked ? kOne : 0) - blocked_ewma_[p]) >> kShift;
-    }
-    for (NodeId v = sh.node_begin; v < sh.node_end; ++v) {
-        std::uint32_t sum = 0;
-        for (int d = 0; d < topo_.numDirs(); ++d)
-            sum += static_cast<std::uint32_t>(
-                blocked_ewma_[inPortId(v, d)]);
-        router_blocked_[v] = sum;
-    }
+    return static_cast<std::uint16_t>(free < 0 ? 0 : free);
 }
 
 void

@@ -67,6 +67,7 @@
 #include "sim/flat_queue.hpp"
 #include "sim/packet.hpp"
 #include "sim/packet_pool.hpp"
+#include "select/congestion.hpp"
 #include "select/factory.hpp"
 #include "sim/selection.hpp"
 #include "sim/shard.hpp"
@@ -188,13 +189,6 @@ class VcNetwork : public NetworkEngine
         std::uint32_t out;
     };
 
-    /** A granted VC's switch-allocation request this cycle. */
-    struct SaRequest
-    {
-        std::uint32_t in_port;
-        std::uint32_t out_port;
-    };
-
     /** A credit (and possibly VC-free signal) in flight upstream. */
     struct CreditEvent
     {
@@ -225,9 +219,11 @@ class VcNetwork : public NetworkEngine
         std::vector<InputRequest> bid_group;
         std::vector<Move> moves;
         std::vector<InFlight> in_flight;
-        std::vector<SaRequest> sa_reqs;
-        std::vector<SaRequest> sa_stage;
-        std::vector<std::uint32_t> sa_members;
+        /** Switch-allocation requests, then this cycle's grants. */
+        std::vector<SwitchRequest> sa_reqs;
+        /** Separable allocator over this shard's crossbar resources
+         * (credit mode). */
+        SeparableAllocator allocator;
         std::vector<SourcedPacket> staged;
         PacketId id_base = 0;
 
@@ -261,7 +257,7 @@ class VcNetwork : public NetworkEngine
     void prepareGeneration();   // Serial.
     void commitGeneration(Shard &sh, std::uint32_t s);
     void applyCreditReturns(Shard &sh);
-    void allocateVcs(Shard &sh);
+    void allocateVcs(Shard &sh, std::uint32_t s);
     void gatherBid(Shard &sh, std::uint32_t port);
     /** Classic-engine movability semantics (ideal_credits). */
     void decideMovesIdeal(Shard &sh);
@@ -275,10 +271,8 @@ class VcNetwork : public NetworkEngine
     void compactActive(Shard &sh);
     void recordHeldPorts(Shard &sh);
     void drainMailboxes(std::uint32_t s);
-    /** Publish cycle-start congestion snapshots for the policy. */
-    void snapshotCongestion(Shard &sh);
-    /** Fold this cycle's channel outcomes into the blocked EWMAs. */
-    void updateCongestion(Shard &sh);
+    /** Free downstream slots of output @p out right now. */
+    std::uint16_t freeSlots(std::uint32_t out) const;
     void serialTail();
     void mergeCounters();
     /** File a credit for @p out_port to land credit_delay_ cycles
@@ -373,18 +367,15 @@ class VcNetwork : public NetworkEngine
     // ----- output-selection policy -----------------------------------
     /** Policy consulted by gatherBid (RC/VA stage). */
     SelectionPolicyPtr sel_;
-    SelectionNeeds sel_needs_;   ///< Which snapshots to maintain.
-    /** Cycle-start credits (free downstream slots) per output VC. */
+    /** Cycle-start credits (free downstream slots) per output VC,
+     * filled for a bid's candidates (sized only when the policy
+     * asks). */
     std::vector<std::uint16_t> free_snap_;
-    /** Cycle-start regional congestion per output: own blocked EWMA
-     * plus the downstream router's EWMA total. */
-    std::vector<std::uint32_t> regional_snap_;
-    /** Q16 fixed-point blocked EWMA per output VC. */
-    std::vector<std::int32_t> blocked_ewma_;
-    /** Per-router sum of its network outputs' blocked EWMAs. */
-    std::vector<std::uint32_t> router_blocked_;
-    /** Last cycle each output VC forwarded a flit. */
-    std::vector<std::uint64_t> fwd_stamp_;
+    /** Cycle in which free_snap_ took the port's cycle-start value
+     * ahead of a credit return (credit mode). */
+    std::vector<std::uint64_t> free_snap_at_;
+    /** Blocked-EWMA state behind the `regional` policy. */
+    BlockedCongestion congestion_;
 
     PacketPool packets_;
     PacketId next_packet_id_ = 0;

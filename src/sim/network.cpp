@@ -94,22 +94,16 @@ Network::Network(const RoutingAlgorithm &routing,
     // Output-selection policy: explicit name, or the adapter for the
     // classic enum. Built against the active route decider so the
     // lookahead table compiles from the same snapshot the hot loop
-    // routes with. The congestion snapshots are sized only on
-    // demand, keeping the adapter path free of extra state.
+    // routes with. The congestion state is sized only on demand,
+    // keeping the adapter path free of extra state.
     sel_ = makeSelectionPolicy(config_.selection_policy.empty()
                                    ? toString(config_.output_selection)
                                    : config_.selection_policy,
                                *decider_);
-    sel_needs_ = sel_->needs();
+    const SelectionNeeds needs = sel_->needs();
     ordered_bid_scan_ = sel_->consumesGlobalRng();
-    if (sel_needs_.free_slots)
+    if (needs.free_slots)
         free_snap_.assign(total_ports, 0);
-    if (sel_needs_.regional) {
-        regional_snap_.assign(total_ports, 0);
-        blocked_ewma_.assign(total_ports, 0);
-        router_blocked_.assign(topo_.numNodes(), 0);
-        fwd_stamp_.assign(total_ports, ~0ULL);
-    }
 
     // Shard plan. Serialization gates: a policy drawing from the
     // single router_rng_ stream does so in gather order, the packet
@@ -145,6 +139,10 @@ Network::Network(const RoutingAlgorithm &routing,
     }
     if (num_shards_ > 1)
         team_ = std::make_unique<WorkerTeam>(num_shards_);
+    if (needs.regional) {
+        congestion_.configure(topo_.numNodes(), ports_per_router_,
+                              out_to_in_, plan_.portBounds());
+    }
 
     source_queues_.resize(topo_.numNodes());
     source_pending_.assign(topo_.numNodes(), 0);
@@ -229,14 +227,6 @@ Network::stepShard(std::uint32_t s)
     Shard &sh = shards_[s];
     sh.moved = false;
 
-    // Snapshot cycle-start congestion for the selection policy. The
-    // sources (downstream buffer sizes, last cycle's EWMA totals)
-    // are frozen until the pop/push phases several barriers away,
-    // and the snapshot arrays are written and read by the owning
-    // shard only, so no extra barrier is needed.
-    if (sel_needs_.free_slots || sel_needs_.regional)
-        snapshotCongestion(sh);
-
     // Phase: sample arrivals (own RNG streams, staged locally). With
     // a closed loop, matured replies must be staged even while
     // stochastic generation is off (drain phases honor the
@@ -255,7 +245,7 @@ Network::stepShard(std::uint32_t s)
     // Phase: output allocation. Router-local by construction — every
     // bid for an output channel comes from an input port of the same
     // router — so it shares a phase with the generation commit.
-    allocateOutputs(sh);
+    allocateOutputs(sh, s);
     sync();
 
     // Phase: decide moves against the frozen cycle-start state. Reads
@@ -282,8 +272,11 @@ Network::stepShard(std::uint32_t s)
     compactActive(sh);
     injectFlits(sh);
     recordHeldPorts(sh);
-    if (sel_needs_.regional)
-        updateCongestion(sh);
+    if (congestion_.enabled()) {
+        congestion_.update(s, cycle_, [this](std::uint32_t p) {
+            return out_ports_[p].owner != kNoSlot;
+        });
+    }
     sync();
 
     // Phase: slot releases. Ejections during the push commit mail
@@ -399,10 +392,23 @@ Network::gatherBid(Shard &sh, std::uint32_t port)
         q.dest = pkt.dest;
         q.packet = static_cast<std::uint64_t>(pkt.id);
         q.port_base = inPortId(here, 0);
-        q.free_slots =
-            free_snap_.empty() ? nullptr : free_snap_.data();
-        q.congestion =
-            regional_snap_.empty() ? nullptr : regional_snap_.data();
+        if (!free_snap_.empty()) {
+            // The candidates' downstream buffers have not changed
+            // since the cycle started: no flit moves before the
+            // allocation phase.
+            for (Direction d : candidates) {
+                const std::uint32_t out = q.port_base + d.id();
+                const std::int32_t down = out_to_in_[out];
+                free_snap_[out] = static_cast<std::uint16_t>(
+                    down >= 0 ? buffer_depth_ -
+                            in_ports_[static_cast<std::uint32_t>(down)]
+                                .fifo_size
+                              : buffer_depth_);
+            }
+            q.free_slots = free_snap_.data();
+        }
+        if (congestion_.enabled())
+            q.congestion = congestion_.scores(q.port_base, candidates);
         q.rng = &router_rng_;
         preferred = inPortId(here, sel_->pick(q).id());
     }
@@ -410,7 +416,7 @@ Network::gatherBid(Shard &sh, std::uint32_t port)
 }
 
 void
-Network::allocateOutputs(Shard &sh)
+Network::allocateOutputs(Shard &sh, std::uint32_t s)
 {
     // Gather, per output port, the requests of unrouted header flits.
     // One allocation round per cycle: each header bids for the single
@@ -463,6 +469,8 @@ Network::allocateOutputs(Shard &sh)
         const std::uint32_t in_port = sh.bid_group[win].in_port;
         InPort &in = in_ports_[in_port];
         out_ports_[out].owner = fifoFront(in_port).slot;
+        if (congestion_.enabled())
+            congestion_.noteOwned(s, out);
         in.granted_out = localOf(out);
         granted_[in_port] = 1;
         granted_out_port_[in_port] = out;
@@ -647,8 +655,8 @@ Network::popMoves(Shard &sh, std::uint32_t s)
         const Flit flit = fifoPop(m.from);
         if (chan_stats_)
             chan_stats_->recordForward(m.out, cycle_);
-        if (!fwd_stamp_.empty())
-            fwd_stamp_[m.out] = cycle_;
+        if (congestion_.enabled())
+            congestion_.noteForward(m.out, cycle_);
         if (flit.tail) {
             // The tail releases the channel and the buffer binding.
             out_ports_[m.out].owner = kNoSlot;
@@ -849,56 +857,6 @@ Network::recordHeldPorts(Shard &sh)
     for (std::uint32_t p = sh.port_begin; p < sh.port_end; ++p) {
         if (out_ports_[p].owner != kNoSlot)
             chan_stats_->recordHeld(p, cycle_);
-    }
-}
-
-void
-Network::snapshotCongestion(Shard &sh)
-{
-    // Own output ports only — the policy is consulted exclusively
-    // for bids at this shard's routers, and a bid's candidate
-    // outputs sit at the bidding port's own router.
-    for (std::uint32_t p = sh.port_begin; p < sh.port_end; ++p) {
-        const std::int32_t down = out_to_in_[p];
-        if (!free_snap_.empty()) {
-            free_snap_[p] = static_cast<std::uint16_t>(
-                down >= 0 ? buffer_depth_ -
-                        in_ports_[static_cast<std::uint32_t>(down)]
-                            .fifo_size
-                          : buffer_depth_);
-        }
-        if (!regional_snap_.empty()) {
-            std::uint32_t r =
-                static_cast<std::uint32_t>(blocked_ewma_[p]);
-            if (down >= 0)
-                r += router_blocked_[port_router_[
-                    static_cast<std::uint32_t>(down)]];
-            regional_snap_[p] = r;
-        }
-    }
-}
-
-void
-Network::updateCongestion(Shard &sh)
-{
-    // Mirror the observer's held-channel accounting: an owned output
-    // either forwarded a flit this cycle or sat blocked. The EWMA is
-    // Q16 fixed point with a 1/64 step; the arithmetic right shift
-    // keeps the decay exact for negative deltas.
-    constexpr std::int32_t kOne = 1 << 16;
-    constexpr int kShift = 6;
-    for (std::uint32_t p = sh.port_begin; p < sh.port_end; ++p) {
-        const bool blocked = out_ports_[p].owner != kNoSlot &&
-            fwd_stamp_[p] != cycle_;
-        blocked_ewma_[p] +=
-            ((blocked ? kOne : 0) - blocked_ewma_[p]) >> kShift;
-    }
-    for (NodeId v = sh.node_begin; v < sh.node_end; ++v) {
-        std::uint32_t sum = 0;
-        for (int d = 0; d < topo_.numDirs(); ++d)
-            sum += static_cast<std::uint32_t>(
-                blocked_ewma_[inPortId(v, d)]);
-        router_blocked_[v] = sum;
     }
 }
 

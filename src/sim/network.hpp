@@ -65,6 +65,7 @@
 #include "sim/flat_queue.hpp"
 #include "sim/packet.hpp"
 #include "sim/packet_pool.hpp"
+#include "select/congestion.hpp"
 #include "select/factory.hpp"
 #include "sim/selection.hpp"
 #include "sim/shard.hpp"
@@ -287,7 +288,7 @@ class Network : public NetworkEngine
     /** Serial: packet-id bases, arena pre-growth, progress_ sizing. */
     void prepareGeneration();
     void commitGeneration(Shard &sh, std::uint32_t s);
-    void allocateOutputs(Shard &sh);
+    void allocateOutputs(Shard &sh, std::uint32_t s);
     /** Append @p port's output-channel request (if any) to sh.bids. */
     void gatherBid(Shard &sh, std::uint32_t port);
     void decideMoves(Shard &sh);
@@ -298,10 +299,6 @@ class Network : public NetworkEngine
     void compactActive(Shard &sh);
     void recordHeldPorts(Shard &sh);
     void drainReleases(std::uint32_t s);
-    /** Publish cycle-start congestion snapshots for the policy. */
-    void snapshotCongestion(Shard &sh);
-    /** Fold this cycle's channel outcomes into the blocked EWMAs. */
-    void updateCongestion(Shard &sh);
     void serialTail();
     void mergeCounters();
 
@@ -407,19 +404,12 @@ class Network : public NetworkEngine
     bool ordered_bid_scan_ = false;  ///< Rng policy: exact order.
     /** Output-selection policy consulted by every gatherBid. */
     SelectionPolicyPtr sel_;
-    SelectionNeeds sel_needs_;   ///< Which snapshots to maintain.
-    /** Cycle-start free slots of each output's downstream buffer
-     * (sized only when the policy asks; see snapshotCongestion). */
+    /** Cycle-start free slots of each output's downstream buffer,
+     * filled for a bid's candidates (sized only when the policy
+     * asks). */
     std::vector<std::uint16_t> free_snap_;
-    /** Cycle-start regional congestion per output: own blocked EWMA
-     * plus the downstream router's EWMA total. */
-    std::vector<std::uint32_t> regional_snap_;
-    /** Q16 fixed-point blocked EWMA per output channel. */
-    std::vector<std::int32_t> blocked_ewma_;
-    /** Per-router sum of its network outputs' blocked EWMAs. */
-    std::vector<std::uint32_t> router_blocked_;
-    /** Last cycle each output channel forwarded a flit. */
-    std::vector<std::uint64_t> fwd_stamp_;
+    /** Blocked-EWMA state behind the `regional` policy. */
+    BlockedCongestion congestion_;
     /** Cycle of the port's last bid attempt that found every usable
      * output channel busy (0 = none). Until an output at its router
      * is released the retry must fail the same way, so the gather

@@ -94,6 +94,16 @@ class ShardPlan
             static_cast<std::uint32_t>(ports_per_router_);
     }
 
+    /** portBegin() of every shard, then the total port count. */
+    std::vector<std::uint32_t> portBounds() const
+    {
+        std::vector<std::uint32_t> bounds;
+        for (std::uint32_t s = 0; s < num_shards_; ++s)
+            bounds.push_back(portBegin(s));
+        bounds.push_back(portEnd(num_shards_ - 1));
+        return bounds;
+    }
+
     std::uint32_t shardOfNode(NodeId node) const
     {
         return shard_of_node_[static_cast<std::size_t>(node)];

@@ -26,6 +26,7 @@
 #include "exec/result_sink.hpp"
 #include "exec/runner.hpp"
 #include "topology/mesh.hpp"
+#include "topology/virtual_channels.hpp"
 #include "traffic/permutation.hpp"
 
 namespace turnmodel {
@@ -301,6 +302,66 @@ TEST(EngineGolden, ShardedSteppingMatchesTheGoldenBytes)
                         : "golden_sharded.json",
                     first);
     }
+}
+
+TEST(EngineGolden, VcAllocatorAndSelection)
+{
+    // The credit VC engine where its switch allocator contends and
+    // its congestion bookkeeping steers: two VCs per direction under
+    // escape-VC west-first, uniform traffic up to saturation, every
+    // congestion-reading selection policy, both separable allocator
+    // orders, credit and ideal flow control, at 1, 2 and 4 shards.
+    const VirtualizedMesh vmesh = VirtualizedMesh::uniform({8, 8}, 2);
+    std::string all;
+    std::string input_first_credit;
+    for (const char *policy : {"regional", "local-congestion", ""}) {
+        for (SwitchArbiter arbiter :
+             {SwitchArbiter::InputFirst, SwitchArbiter::OutputFirst}) {
+            for (bool ideal : {false, true}) {
+                ExperimentSpec spec;
+                spec.name = std::string("golden-vc-alloc-") +
+                    (*policy ? policy : "default") + "-" +
+                    toString(arbiter) + (ideal ? "-ideal" : "-credit");
+                spec.topology = &vmesh;
+                spec.pattern = "uniform";
+                spec.algorithms = {"vc:west-first"};
+                spec.injection_rates = {0.15, 0.22, 0.30};
+                spec.sim.warmup_cycles = 500;
+                spec.sim.measure_cycles = 3000;
+                spec.sim.router_model = RouterModel::VcCredit;
+                spec.sim.buffer_depth = 4;
+                spec.sim.selection_policy = policy;
+                spec.sim.vc_router.arbiter = arbiter;
+                spec.sim.vc_router.ideal_credits = ideal;
+                std::string first;
+                for (unsigned threads : {1u, 2u, 4u}) {
+                    spec.sim.sim_threads = threads;
+                    Runner runner(1);
+                    const std::string bytes =
+                        seriesJson(runner.run(spec));
+                    if (first.empty())
+                        first = bytes;
+                    else
+                        EXPECT_EQ(first, bytes)
+                            << spec.name << " diverged at --sim-threads="
+                            << threads;
+                }
+                // The allocator order must matter here, or the
+                // golden would not pin the allocator at all.
+                if (!ideal && arbiter == SwitchArbiter::InputFirst)
+                    input_first_credit =
+                        first.substr(first.find("\"series\""));
+                if (!ideal && arbiter == SwitchArbiter::OutputFirst) {
+                    EXPECT_NE(input_first_credit,
+                              first.substr(first.find("\"series\"")))
+                        << "no switch-allocator contention under "
+                        << spec.name;
+                }
+                all += first;
+            }
+        }
+    }
+    checkGolden("golden_vc_alloc.json", all);
 }
 
 } // namespace

@@ -12,8 +12,9 @@
  * assert that thousands of further step()/drainCompletions() cycles
  * perform literally zero allocations. Scenarios cover the plain
  * mesh path, the observer-on path (channel counters + trace ring),
- * and the virtual-channel path whose physical-wire arbitration has
- * its own scratch state.
+ * the virtual-channel path whose physical-wire arbitration has its
+ * own scratch state, the congestion-reading selection policies, and
+ * the credit VC router's switch allocator.
  *
  * The same counters pin the grid geometry: neighbor(), distance(),
  * isWraparound() and coordAt() of every grid topology, and routeSet()
@@ -30,6 +31,7 @@
 #include <gtest/gtest.h>
 
 #include "core/routing/factory.hpp"
+#include "sim/engine.hpp"
 #include "sim/network.hpp"
 #include "topology/hex.hpp"
 #include "topology/hypercube.hpp"
@@ -129,7 +131,7 @@ using namespace turnmodel;
  * into a reused buffer each cycle, as the measurement driver does).
  */
 std::uint64_t
-allocationsInSteadyState(Network &net, std::uint64_t warmup,
+allocationsInSteadyState(NetworkEngine &net, std::uint64_t warmup,
                          std::uint64_t measured)
 {
     std::vector<Completion> done;
@@ -191,6 +193,44 @@ TEST(ZeroAlloc, PhysicalChannelArbitrationIsAllocationFree)
     cfg.injection_rate = 0.12;
     Network net(*routing, *pattern, cfg);
     EXPECT_EQ(allocationsInSteadyState(net, 20000, 3000), 0u);
+}
+
+TEST(ZeroAlloc, CongestionPolicyPathIsAllocationFree)
+{
+    // The regional policy keeps per-shard live-port lists; they are
+    // reserved up front, so steady state allocates nothing.
+    const NDMesh mesh = NDMesh::mesh2D(8, 8);
+    const RoutingPtr routing = makeRouting("west-first", mesh);
+    const PatternPtr pattern = makePattern("transpose", mesh);
+    for (const char *policy : {"regional", "local-congestion"}) {
+        SimConfig cfg;
+        cfg.injection_rate = 0.08;
+        cfg.selection_policy = policy;
+        Network net(*routing, *pattern, cfg);
+        EXPECT_EQ(allocationsInSteadyState(net, 20000, 3000), 0u)
+            << policy;
+    }
+}
+
+TEST(ZeroAlloc, VcSwitchAllocationIsAllocationFree)
+{
+    // Credit VC router on two VCs per direction: the separable
+    // allocator's stamped slots and the congestion state are sized
+    // at construction, at one shard and at two.
+    const VirtualizedMesh vmesh = VirtualizedMesh::uniform({8, 8}, 2);
+    const RoutingPtr routing = makeRouting("vc:west-first", vmesh);
+    const PatternPtr pattern = makePattern("uniform", vmesh);
+    for (unsigned threads : {1u, 2u}) {
+        SimConfig cfg;
+        cfg.router_model = RouterModel::VcCredit;
+        cfg.buffer_depth = 4;
+        cfg.injection_rate = 0.15;
+        cfg.selection_policy = "regional";
+        cfg.sim_threads = threads;
+        const auto net = makeEngine(*routing, *pattern, cfg);
+        EXPECT_EQ(allocationsInSteadyState(*net, 20000, 3000), 0u)
+            << threads << " shards";
+    }
 }
 
 TEST(ZeroAlloc, SaturatedNetworkOnlyGrowsHighWaterMarks)
