@@ -80,6 +80,15 @@ class RoutingAlgorithm
      * node alone) and a collapsed compiled-table snapshot.
      */
     virtual bool isInputDependent() const { return false; }
+
+    /**
+     * Whether routeSet() depends only on the arrival state and on the
+     * sign of (dest - current) in each dimension. On a full grid
+     * (Topology::isFullGrid) such an algorithm compiles into one entry
+     * per arrival state and sign class — 3^n classes — instead of one
+     * per (node, destination) pair.
+     */
+    virtual bool decidesBySign() const { return false; }
 };
 
 /**

@@ -33,6 +33,7 @@ class AllButOneNegativeFirstRouting : public RoutingAlgorithm
     std::string name() const override { return "abonf"; }
     const Topology &topology() const override { return topo_; }
     bool isMinimal() const override { return true; }
+    bool decidesBySign() const override { return true; }
 
   private:
     const Topology &topo_;
@@ -51,6 +52,7 @@ class AllButOnePositiveLastRouting : public RoutingAlgorithm
     std::string name() const override { return "abopl"; }
     const Topology &topology() const override { return topo_; }
     bool isMinimal() const override { return true; }
+    bool decidesBySign() const override { return true; }
 
   private:
     const Topology &topo_;

@@ -28,6 +28,7 @@ class DimensionOrderRouting : public RoutingAlgorithm
     std::string name() const override;
     const Topology &topology() const override { return topo_; }
     bool isMinimal() const override { return true; }
+    bool decidesBySign() const override { return true; }
 
   private:
     const Topology &topo_;

@@ -27,6 +27,7 @@ class NorthLastRouting : public RoutingAlgorithm
     std::string name() const override { return "north-last"; }
     const Topology &topology() const override { return topo_; }
     bool isMinimal() const override { return true; }
+    bool decidesBySign() const override { return true; }
 
   private:
     const Topology &topo_;

@@ -34,6 +34,7 @@ class ECubeRouting : public RoutingAlgorithm
     std::string name() const override { return "e-cube"; }
     const Topology &topology() const override { return cube_; }
     bool isMinimal() const override { return true; }
+    bool decidesBySign() const override { return true; }
 
   private:
     const Hypercube &cube_;
@@ -57,6 +58,9 @@ class PCubeRouting : public RoutingAlgorithm
     std::string name() const override;
     const Topology &topology() const override { return cube_; }
     bool isMinimal() const override { return minimal_; }
+    /** Minimal only: the nonminimal phase one also reads which
+     * address bits are set where C and D agree. */
+    bool decidesBySign() const override { return minimal_; }
 
     /**
      * The dimension choices available at @p current for @p dest,

@@ -28,7 +28,7 @@ TimeSeriesSampler::onCycle(std::uint64_t now,
                            std::uint64_t flits_delivered_total,
                            std::uint64_t source_queue_packets)
 {
-    if (now - window_start_ >= stride_)
+    if (windowDue(now))
         closeWindow(now, flits_delivered_total, source_queue_packets);
 }
 

@@ -63,6 +63,14 @@ class TimeSeriesSampler
     void onCycle(std::uint64_t now, std::uint64_t flits_delivered_total,
                  std::uint64_t source_queue_packets);
 
+    /** Whether onCycle(@p now, ...) closes a window — the only time it
+     * reads its running totals, so a driver may skip costly ones
+     * (the source-queue scan) on the other cycles. */
+    bool windowDue(std::uint64_t now) const
+    {
+        return now - window_start_ >= stride_;
+    }
+
     /** Close any partial final window (end of run or deadlock). */
     void finish(std::uint64_t now, std::uint64_t flits_delivered_total,
                 std::uint64_t source_queue_packets);

@@ -203,6 +203,8 @@ VcNetwork::VcNetwork(const RoutingAlgorithm &routing,
         congestion_.configure(topo_.numNodes(), ports_per_router_,
                               out_to_in_, plan_.portBounds());
     }
+    if (chan_stats_)
+        held_.configure(plan_);
 
     source_queues_.resize(topo_.numNodes());
     source_pending_.assign(topo_.numNodes(), 0);
@@ -296,7 +298,7 @@ VcNetwork::stepShard(std::uint32_t s)
     // run VC allocation. All three touch only shard-owned state (a
     // VA bid always targets an output VC of the bidder's router).
     if (!ideal_)
-        applyCreditReturns(sh);
+        applyCreditReturns(sh, s);
     if (generate_ || closed_loop_)
         commitGeneration(sh, s);
     allocateVcs(sh, s);
@@ -327,7 +329,7 @@ VcNetwork::stepShard(std::uint32_t s)
     pushMoves(sh, s);
     compactActive(sh);
     injectFlits(sh);
-    recordHeldPorts(sh);
+    recordHeldPorts(s);
     if (congestion_.enabled()) {
         congestion_.update(s, cycle_, [this](std::uint32_t p) {
             return out_ports_[p].owner != kNoSlot;
@@ -394,7 +396,7 @@ VcNetwork::commitGeneration(Shard &sh, std::uint32_t s)
 }
 
 void
-VcNetwork::applyCreditReturns(Shard &sh)
+VcNetwork::applyCreditReturns(Shard &sh, std::uint32_t s)
 {
     auto &bucket = sh.credit_ring[cycle_ % sh.credit_ring.size()];
     for (const CreditEvent &e : bucket) {
@@ -412,7 +414,7 @@ VcNetwork::applyCreditReturns(Shard &sh)
         // output VC returns to the allocatable pool only once the
         // downstream buffer holds none of the departing packet.
         if (e.vc_free)
-            out_ports_[e.out_port].owner = kNoSlot;
+            releaseOutput(s, e.out_port);
     }
     bucket.clear();
 }
@@ -525,6 +527,8 @@ VcNetwork::allocateVcs(Shard &sh, std::uint32_t s)
         const std::uint32_t in_port = sh.bid_group[win].in_port;
         InPort &in = in_ports_[in_port];
         out_ports_[out].owner = fifoFront(in_port).slot;
+        if (held_.enabled())
+            held_.hold(s, out);
         if (congestion_.enabled())
             congestion_.noteOwned(s, out);
         in.granted_out = localOf(out);
@@ -759,7 +763,7 @@ VcNetwork::popMoves(Shard &sh, std::uint32_t s)
             // which has no downstream buffer), otherwise by the
             // downstream tail pop's VC-free signal.
             if (ideal_ || m.to < 0)
-                out_ports_[m.out].owner = kNoSlot;
+                releaseOutput(s, m.out);
             in.cur_slot = kNoSlot;
             in.granted_out = -1;
             granted_[m.from] = 0;
@@ -932,14 +936,20 @@ VcNetwork::injectFlits(Shard &sh)
 }
 
 void
-VcNetwork::recordHeldPorts(Shard &sh)
+VcNetwork::releaseOutput(std::uint32_t s, std::uint32_t out)
+{
+    out_ports_[out].owner = kNoSlot;
+    if (held_.enabled())
+        held_.release(s, out);
+}
+
+void
+VcNetwork::recordHeldPorts(std::uint32_t s)
 {
     if (!chan_stats_)
         return;
-    for (std::uint32_t p = sh.port_begin; p < sh.port_end; ++p) {
-        if (out_ports_[p].owner != kNoSlot)
-            chan_stats_->recordHeld(p, cycle_);
-    }
+    for (std::uint32_t p : held_.ports(s))
+        chan_stats_->recordHeld(p, cycle_);
 }
 
 std::uint16_t

@@ -256,7 +256,7 @@ class VcNetwork : public NetworkEngine
     void generateSample(Shard &sh);
     void prepareGeneration();   // Serial.
     void commitGeneration(Shard &sh, std::uint32_t s);
-    void applyCreditReturns(Shard &sh);
+    void applyCreditReturns(Shard &sh, std::uint32_t s);
     void allocateVcs(Shard &sh, std::uint32_t s);
     void gatherBid(Shard &sh, std::uint32_t port);
     /** Classic-engine movability semantics (ideal_credits). */
@@ -269,7 +269,9 @@ class VcNetwork : public NetworkEngine
     void pushOne(Shard &sh, std::uint32_t s, const InFlight &f);
     void injectFlits(Shard &sh);
     void compactActive(Shard &sh);
-    void recordHeldPorts(Shard &sh);
+    /** Free output VC @p out of shard @p s for allocation. */
+    void releaseOutput(std::uint32_t s, std::uint32_t out);
+    void recordHeldPorts(std::uint32_t s);
     void drainMailboxes(std::uint32_t s);
     /** Free downstream slots of output @p out right now. */
     std::uint16_t freeSlots(std::uint32_t out) const;
@@ -376,6 +378,8 @@ class VcNetwork : public NetworkEngine
     std::vector<std::uint64_t> free_snap_at_;
     /** Blocked-EWMA state behind the `regional` policy. */
     BlockedCongestion congestion_;
+    /** Held output VCs per shard (only with channel counters). */
+    HeldPortLists held_;
 
     PacketPool packets_;
     PacketId next_packet_id_ = 0;

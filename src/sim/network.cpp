@@ -143,6 +143,8 @@ Network::Network(const RoutingAlgorithm &routing,
         congestion_.configure(topo_.numNodes(), ports_per_router_,
                               out_to_in_, plan_.portBounds());
     }
+    if (chan_stats_)
+        held_.configure(plan_);
 
     source_queues_.resize(topo_.numNodes());
     source_pending_.assign(topo_.numNodes(), 0);
@@ -271,7 +273,7 @@ Network::stepShard(std::uint32_t s)
     pushMoves(sh, s);
     compactActive(sh);
     injectFlits(sh);
-    recordHeldPorts(sh);
+    recordHeldPorts(s);
     if (congestion_.enabled()) {
         congestion_.update(s, cycle_, [this](std::uint32_t p) {
             return out_ports_[p].owner != kNoSlot;
@@ -469,6 +471,8 @@ Network::allocateOutputs(Shard &sh, std::uint32_t s)
         const std::uint32_t in_port = sh.bid_group[win].in_port;
         InPort &in = in_ports_[in_port];
         out_ports_[out].owner = fifoFront(in_port).slot;
+        if (held_.enabled())
+            held_.hold(s, out);
         if (congestion_.enabled())
             congestion_.noteOwned(s, out);
         in.granted_out = localOf(out);
@@ -660,6 +664,8 @@ Network::popMoves(Shard &sh, std::uint32_t s)
         if (flit.tail) {
             // The tail releases the channel and the buffer binding.
             out_ports_[m.out].owner = kNoSlot;
+            if (held_.enabled())
+                held_.release(s, m.out);
             in.cur_slot = kNoSlot;
             in.granted_out = -1;
             granted_[m.from] = 0;
@@ -847,17 +853,15 @@ Network::drainReleases(std::uint32_t s)
 }
 
 void
-Network::recordHeldPorts(Shard &sh)
+Network::recordHeldPorts(std::uint32_t s)
 {
     if (!chan_stats_)
         return;
     // Busy/blocked accounting against this cycle's outcome: a held
     // channel either forwarded a flit this cycle or spent the cycle
     // blocked (downstream full or upstream bubble).
-    for (std::uint32_t p = sh.port_begin; p < sh.port_end; ++p) {
-        if (out_ports_[p].owner != kNoSlot)
-            chan_stats_->recordHeld(p, cycle_);
-    }
+    for (std::uint32_t p : held_.ports(s))
+        chan_stats_->recordHeld(p, cycle_);
 }
 
 void

@@ -297,7 +297,7 @@ class Network : public NetworkEngine
     void pushOne(Shard &sh, std::uint32_t s, const InFlight &f);
     void injectFlits(Shard &sh);
     void compactActive(Shard &sh);
-    void recordHeldPorts(Shard &sh);
+    void recordHeldPorts(std::uint32_t s);
     void drainReleases(std::uint32_t s);
     void serialTail();
     void mergeCounters();
@@ -410,6 +410,8 @@ class Network : public NetworkEngine
     std::vector<std::uint16_t> free_snap_;
     /** Blocked-EWMA state behind the `regional` policy. */
     BlockedCongestion congestion_;
+    /** Held output ports per shard (only with channel counters). */
+    HeldPortLists held_;
     /** Cycle of the port's last bid attempt that found every usable
      * output channel busy (0 = none). Until an output at its router
      * is released the retry must fail the same way, so the gather

@@ -166,6 +166,57 @@ class ShardMailboxes
     std::vector<std::vector<T>> boxes_;
 };
 
+/**
+ * The output ports held by a packet, one list per shard, kept as
+ * ownership changes so that per-cycle channel accounting visits the
+ * held ports instead of every port. Each port is held and released by
+ * the shard that owns it. Release swap-removes, so a list's order is
+ * arbitrary: walk it only for order-free work such as per-port
+ * counters.
+ */
+class HeldPortLists
+{
+  public:
+    /** Empty lists for @p plan's shards, each reserved for all of
+     * its ports so that holding never allocates. */
+    void configure(const ShardPlan &plan)
+    {
+        const std::uint32_t shards = plan.numShards();
+        lists_.resize(shards);
+        for (std::uint32_t s = 0; s < shards; ++s)
+            lists_[s].reserve(plan.portEnd(s) - plan.portBegin(s));
+        pos_.assign(plan.portEnd(shards - 1), 0);
+    }
+
+    /** Whether configure() ran; hold and release only then. */
+    bool enabled() const { return !lists_.empty(); }
+
+    void hold(std::uint32_t s, std::uint32_t port)
+    {
+        pos_[port] = static_cast<std::uint32_t>(lists_[s].size());
+        lists_[s].push_back(port);
+    }
+
+    void release(std::uint32_t s, std::uint32_t port)
+    {
+        std::vector<std::uint32_t> &list = lists_[s];
+        const std::uint32_t at = pos_[port];
+        list[at] = list.back();
+        pos_[list[at]] = at;
+        list.pop_back();
+    }
+
+    const std::vector<std::uint32_t> &ports(std::uint32_t s) const
+    {
+        return lists_[s];
+    }
+
+  private:
+    std::vector<std::vector<std::uint32_t>> lists_;
+    /** Index of each held port in its shard's list. */
+    std::vector<std::uint32_t> pos_;
+};
+
 } // namespace turnmodel
 
 #endif // TURNMODEL_SIM_SHARD_HPP

@@ -86,7 +86,7 @@ Simulator::run()
             break;
         network_->drainCompletions(batch);
         absorb(batch);
-        if (sampler_) {
+        if (sampler_ && sampler_->windowDue(network_->now())) {
             sampler_->onCycle(network_->now(),
                               network_->counters().flits_delivered,
                               network_->sourceQueuePackets());

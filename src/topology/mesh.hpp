@@ -27,6 +27,7 @@ class NDMesh : public Topology
     std::string name() const override;
     int distance(NodeId a, NodeId b) const override;
     int diameter() const override;
+    bool isFullGrid() const override { return true; }
 };
 
 } // namespace turnmodel

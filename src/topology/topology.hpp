@@ -64,6 +64,17 @@ class Topology
     /** Whether any two directions share a physical channel. */
     virtual bool hasSharedPhysicalChannels() const { return false; }
 
+    /**
+     * Whether this is a full grid: every node of the shape present,
+     * the routing dimensions are the physical ones, and the hop along
+     * d exists exactly when the coordinate stays inside the shape (no
+     * wraparound, no faults). On a full grid, pairs of nodes whose
+     * coordinates differ with the same signs see the same hops, which
+     * is what lets a sign-class routing table stand in for a dense
+     * one (core/routing/compiled.hpp).
+     */
+    virtual bool isFullGrid() const { return false; }
+
     /** Total node count. */
     NodeId numNodes() const { return num_nodes_; }
 

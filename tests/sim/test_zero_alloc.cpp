@@ -19,7 +19,8 @@
  * The same counters pin the grid geometry: neighbor(), distance(),
  * isWraparound() and coordAt() of every grid topology, and routeSet()
  * of the coordinate-reading routing algorithms, allocate nothing —
- * the property that makes compiling a routing table cheap.
+ * the property that makes compiling a routing table cheap — and so
+ * does a sweep over a compiled sign-class table.
  */
 
 #include <atomic>
@@ -30,6 +31,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/routing/compiled.hpp"
 #include "core/routing/factory.hpp"
 #include "sim/engine.hpp"
 #include "sim/network.hpp"
@@ -351,6 +353,22 @@ TEST(GeometryAlloc, PortedRoutingIsAllocationFree)
     const VirtualizedMesh vmesh = VirtualizedMesh::uniform({5, 4}, 2);
     const RoutingPtr escape = makeRouting("vc:west-first", vmesh);
     EXPECT_EQ(routeSweepAllocations(*escape), 0u) << "vc:west-first";
+}
+
+TEST(ZeroAlloc, ClassTableRouteSetSweepIsAllocationFree)
+{
+    const NDMesh mesh = NDMesh::mesh2D(16, 16);
+    const NDMesh mesh3(Shape{3, 4, 2});
+    const Hypercube cube(5);
+    const CompiledRoutingTable tables[] = {
+        CompiledRoutingTable(*makeRouting("west-first", mesh)),
+        CompiledRoutingTable(*makeRouting("abopl", mesh3)),
+        CompiledRoutingTable(*makeRouting("p-cube", cube)),
+    };
+    for (const CompiledRoutingTable &table : tables) {
+        ASSERT_TRUE(table.isClassTable()) << table.name();
+        EXPECT_EQ(routeSweepAllocations(table), 0u) << table.name();
+    }
 }
 
 } // namespace
